@@ -128,7 +128,7 @@ func TestFleetE2E(t *testing.T) {
 		deploy(snap)
 		go r.client.Run(ctx, time.Hour, deploy, nil)
 
-		r.admit = gateway.NewAdmitter(r.vetter, 32, 200*time.Microsecond)
+		r.admit = gateway.NewAdmitter(r.vetter, 32, 0)
 		defer r.admit.Close()
 		r.admit.UseSharedStore(cache)
 		proxy := gateway.NewProxy(originURL, r.vetter)

@@ -92,7 +92,6 @@ func run(args []string, out io.Writer) error {
 	peak := fs.Float64("rps", 0, "peak aggregate request rate of the diurnal cycle (0 = closed loop)")
 	skew := fs.Float64("zipf", 1.5, "zipf exponent of document popularity (hot-key skew)")
 	batchDocs := fs.Int("batchdocs", 32, "in-process admission micro-batch size (0 disables)")
-	batchWait := fs.Duration("batchwait", 500*time.Microsecond, "in-process admission window")
 	day := fs.Int("day", synth.Date(time.August, 5), "synthetic corpus day")
 	replicas := fs.Int("replicas", 1, "in-process gateway replicas behind the round-robin front")
 	if err := fs.Parse(args); err != nil {
@@ -156,7 +155,7 @@ func run(args []string, out io.Writer) error {
 			store = cache
 		}
 		for i := 0; i < *replicas; i++ {
-			r, err := newReplica(*day, origin.url, *batchDocs, *batchWait, store)
+			r, err := newReplica(*day, origin.url, *batchDocs, store)
 			if err != nil {
 				return err
 			}
@@ -292,7 +291,7 @@ func (r *replica) close() {
 // (the fleet analogue of N kizzlegate processes deploying the same
 // version) and, when store is non-nil, plugs into the fleet-shared
 // verdict cache.
-func newReplica(day int, origin *url.URL, batchDocs int, batchWait time.Duration, store verdictcache.Store) (*replica, error) {
+func newReplica(day int, origin *url.URL, batchDocs int, store verdictcache.Store) (*replica, error) {
 	sigs, err := daySignatures(day)
 	if err != nil {
 		return nil, err
@@ -305,7 +304,7 @@ func newReplica(day int, origin *url.URL, batchDocs int, batchWait time.Duration
 	r.vetter.SetVersion(1)
 	proxy := gateway.NewProxy(origin, r.vetter)
 	if batchDocs > 0 {
-		r.admit = gateway.NewAdmitter(r.vetter, batchDocs, batchWait)
+		r.admit = gateway.NewAdmitter(r.vetter, batchDocs, 0)
 		if store != nil {
 			r.admit.UseSharedStore(store)
 		}

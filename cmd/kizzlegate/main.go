@@ -17,7 +17,7 @@
 //	           [-sigfile sigs.json] [-sigurl http://sigserver/signatures] \
 //	           [-watch=true] [-poll 1m] [-jitter 0.1] \
 //	           [-verdicts http://sigserver/verdicts] [-verdictkey SECRET] \
-//	           [-batchdocs 32] [-batchwait 500us] [-metricslisten :8081]
+//	           [-batchdocs 32] [-metricslisten :8081]
 package main
 
 import (
@@ -58,7 +58,6 @@ func run(args []string, ready chan<- http.Handler) error {
 	verdictsURL := fs.String("verdicts", "", "shared verdict cache URL (e.g. http://sigserver/verdicts); empty disables fleet verdict sharing")
 	verdictKey := fs.String("verdictkey", "", "HMAC key for signing shared verdict publishes (the publisher's -verdictkey)")
 	batchDocs := fs.Int("batchdocs", 32, "admission micro-batch size (0 disables batching)")
-	batchWait := fs.Duration("batchwait", 500*time.Microsecond, "admission window: how long the first document waits for company")
 	metricsListen := fs.String("metricslisten", "", "admin address to serve /metrics on (empty disables)")
 	strict := fs.Bool("strict", false, "refuse uncertified signature updates: every fetched set must carry a verifiable attestation")
 	certKey := fs.String("certkey", "", "HMAC key for verifying attestation signatures (share with the publisher)")
@@ -171,7 +170,7 @@ func run(args []string, ready chan<- http.Handler) error {
 	var admit *gateway.Admitter
 	var verdicts *verdictcache.HTTPStore
 	if *batchDocs > 0 {
-		admit = gateway.NewAdmitter(vetter, *batchDocs, *batchWait)
+		admit = gateway.NewAdmitter(vetter, *batchDocs, 0)
 		defer admit.Close()
 		if *verdictsURL != "" {
 			verdicts = &verdictcache.HTTPStore{URL: *verdictsURL, Key: []byte(*verdictKey)}

@@ -14,14 +14,19 @@ import (
 
 // Admitter coalesces concurrent admission checks into micro-batches.
 //
-// Two effects pay for the sub-millisecond queueing delay it adds. First,
-// a batch rides one VetAllBytes call, so a burst of concurrent responses
-// costs one worker-pool dispatch instead of one lock/dispatch per
-// response. Second — the dominant effect under real traffic — identical
-// in-flight documents are detected inside the window and scanned once:
-// provider traffic is hot-key skewed (many users fetch the same landing
-// page at the same moment), so a 32-document window is mostly duplicates
-// and the scan work per admitted response collapses. Decisions are
+// Batches form from load, not from a timer: a batch is the first queued
+// request plus whatever is already queued behind it (up to maxBatch),
+// dispatched at once. While one batch is being decided new arrivals
+// queue, and the next batch takes them all. An idle admitter therefore
+// scans a lone request immediately, and a loaded one still gets full
+// batches. Two effects pay for batching. First, a batch rides one
+// VetAllBytes call, so a burst of concurrent responses costs one
+// worker-pool dispatch instead of one lock/dispatch per response.
+// Second — the dominant effect under real traffic — identical in-flight
+// documents are detected inside a batch and scanned once: provider
+// traffic is hot-key skewed (many users fetch the same landing page at
+// the same moment), so a loaded batch is mostly duplicates and the scan
+// work per admitted response collapses. Decisions are
 // identical to per-document vetting: duplicates are verified byte-for-
 // byte (a digest alone only nominates candidates), and every request
 // still receives its own Decision.
@@ -31,7 +36,6 @@ import (
 type Admitter struct {
 	v        *Vetter
 	maxBatch int
-	maxWait  time.Duration
 	// shared, when set by UseSharedStore, extends duplicate detection
 	// across the fleet: verdicts for this matcher version computed by any
 	// replica are consulted before a local scan.
@@ -61,20 +65,18 @@ type admitReq struct {
 }
 
 // NewAdmitter starts an admitter in front of v. maxBatch bounds the
-// documents per micro-batch and maxWait the time the first document in a
-// window waits for company; zero or negative values take the defaults
-// (32 documents, 500µs). Close releases the admitter's goroutine.
+// documents per micro-batch (zero or negative: 32). Close releases the
+// admitter's goroutine.
+//
+// Deprecated: maxWait is ignored — batches never wait for company. The
+// parameter goes away with the benchmark that still passes it.
 func NewAdmitter(v *Vetter, maxBatch int, maxWait time.Duration) *Admitter {
 	if maxBatch <= 0 {
 		maxBatch = 32
 	}
-	if maxWait <= 0 {
-		maxWait = 500 * time.Microsecond
-	}
 	a := &Admitter{
 		v:        v,
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		reqs:     make(chan admitReq, maxBatch),
 		done:     make(chan struct{}),
 	}
@@ -125,7 +127,7 @@ func (a *Admitter) Close() {
 	a.wg.Wait()
 }
 
-// loop collects windows of requests and dispatches each as one batch.
+// loop collects batches of requests and dispatches each in turn.
 func (a *Admitter) loop() {
 	defer a.wg.Done()
 	for {
@@ -147,20 +149,16 @@ func (a *Admitter) loop() {
 	}
 }
 
-// collect gathers one micro-batch: the first request plus whatever
-// arrives within maxWait, capped at maxBatch.
+// collect gathers one micro-batch: the first request plus whatever is
+// already queued, capped at maxBatch. It never waits for more.
 func (a *Admitter) collect(first admitReq) []admitReq {
 	batch := make([]admitReq, 1, a.maxBatch)
 	batch[0] = first
-	timer := time.NewTimer(a.maxWait)
-	defer timer.Stop()
 	for len(batch) < a.maxBatch {
 		select {
 		case r := <-a.reqs:
 			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-a.done:
+		default:
 			return batch
 		}
 	}
@@ -214,23 +212,22 @@ func (a *Admitter) dispatch(batch []admitReq) {
 }
 
 // decideAll resolves a batch's unique documents to decisions: shared
-// verdict store first (when configured and the matcher version is
-// known), local scan for the misses, then version-pinned publication of
-// the freshly scanned verdicts. A shared entry answers only when its
-// SHA-256 content sum matches the document in hand: the XXH64 cache key
-// is attacker-collidable, so serving on bare key equality would let a
-// crafted benign/malicious digest pair turn a cached clean verdict into
-// a fleet-wide scanner bypass.
+// verdict store first (when configured and the deployed set is pinned to
+// a version), local scan for the misses, then publication of the freshly
+// scanned verdicts under that same pin. One deployment snapshot serves
+// for the lookups, the scan and the puts, so a swap landing mid-batch
+// cannot file one set's verdicts under another set's version. A shared
+// entry answers only when its SHA-256 content sum matches the document
+// in hand: the XXH64 cache key is attacker-collidable, so serving on
+// bare key equality would let a crafted benign/malicious digest pair
+// turn a cached clean verdict into a fleet-wide scanner bypass.
 func (a *Admitter) decideAll(docs [][]byte, digests []uint64) []Decision {
-	shared := a.shared
-	var ver int64
-	if shared != nil {
-		ver = a.v.Version()
-	}
+	shared, dep := a.shared, a.v.live.Load()
+	ver := dep.pin
 	if shared == nil || ver <= 0 {
-		// No store, or no recorded matcher version to pin entries to —
-		// an unpinned verdict could survive a signature update.
-		return a.v.VetAllBytes(docs)
+		// No store, or no recorded version for this set to pin entries
+		// to — an unpinned verdict could survive a signature update.
+		return a.v.vetAll(dep.scanner, docs)
 	}
 	out := make([]Decision, len(docs))
 	sums := make([]string, len(docs))
@@ -257,17 +254,9 @@ func (a *Admitter) decideAll(docs [][]byte, digests []uint64) []Decision {
 	if len(toScan) == 0 {
 		return out
 	}
-	scanned := a.v.VetAllBytes(toScan)
-	// Publish only if the vetter still runs the version the lookups were
-	// pinned to: a hot-swap mid-batch means these verdicts may have been
-	// computed by either set, and neither pin would be trustworthy.
-	if a.v.Version() == ver {
-		for j, d := range scanned {
-			shared.Put(ver, digests[idx[j]], verdictcache.Verdict{Blocked: d.Blocked, Family: d.Family, Sum: sums[idx[j]]})
-			a.sharedPuts.Add(1)
-		}
-	}
-	for j, d := range scanned {
+	for j, d := range a.v.vetAll(dep.scanner, toScan) {
+		shared.Put(ver, digests[idx[j]], verdictcache.Verdict{Blocked: d.Blocked, Family: d.Family, Sum: sums[idx[j]]})
+		a.sharedPuts.Add(1)
 		out[idx[j]] = d
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"kizzle"
 	"kizzle/internal/contentcache"
 	"kizzle/internal/verdictcache"
 	"kizzle/synth"
@@ -76,7 +77,7 @@ func TestAdmitterMatchesDirect(t *testing.T) {
 	}
 
 	v := NewVetter(m)
-	a := NewAdmitter(v, 8, 200*time.Microsecond)
+	a := NewAdmitter(v, 8, 0)
 	defer a.Close()
 	got := make([]Decision, len(docs))
 	var wg sync.WaitGroup
@@ -95,42 +96,91 @@ func TestAdmitterMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestAdmitterCoalescesDuplicates: identical in-flight documents must be
-// scanned once per window, and every request must still get the right
-// decision.
+// gatedScanner holds its first Scan until gate closes, signalling entered
+// once it is held, so a test can pin a batch in flight and queue the next.
+type gatedScanner struct {
+	Scanner
+	once    sync.Once
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedScanner) Scan(doc string) []kizzle.Match {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.gate
+	})
+	return g.Scanner.Scan(doc)
+}
+
+// blankScanner is a signature set that matches nothing.
+type blankScanner struct{}
+
+func (blankScanner) Scan(string) []kizzle.Match { return nil }
+
+// TestAdmitterNoLinger: a lone request on an idle admitter is decided at
+// once, whatever the (ignored) window argument says.
+func TestAdmitterNoLinger(t *testing.T) {
+	day := synth.Date(time.August, 5)
+	a := NewAdmitter(NewVetter(buildMatcher(t, day)), 32, time.Hour)
+	defer a.Close()
+	done := make(chan Decision, 1)
+	go func() { done <- a.VetBytes([]byte(kitDoc(t, day))) }()
+	select {
+	case d := <-done:
+		if !d.Blocked || d.Family != "Angler" {
+			t.Errorf("lone admission = %+v", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("lone admission waited for company")
+	}
+}
+
+// TestAdmitterCoalescesDuplicates: identical requests that queue while a
+// batch is in flight form the next batch and are scanned once, and every
+// request still gets the right decision.
 func TestAdmitterCoalescesDuplicates(t *testing.T) {
 	day := synth.Date(time.August, 5)
-	v := NewVetter(buildMatcher(t, day))
-	// A long window so one batch holds the whole burst.
-	a := NewAdmitter(v, 64, 50*time.Millisecond)
+	g := &gatedScanner{Scanner: buildMatcher(t, day), entered: make(chan struct{}), gate: make(chan struct{})}
+	v := NewVetter(g)
+	const n = 32
+	a := NewAdmitter(v, n, 0)
 	defer a.Close()
 
 	kit := []byte(kitDoc(t, day))
-	const n = 32
+	admit := func(wg *sync.WaitGroup) {
+		defer wg.Done()
+		if d := a.VetBytes(kit); !d.Blocked || d.Family != "Angler" {
+			t.Errorf("coalesced decision = %+v", d)
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	wg.Add(1)
+	go admit(&wg) // the first batch, held in the scanner
+	<-g.entered
+	for i := 1; i < n; i++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if d := a.VetBytes(kit); !d.Blocked || d.Family != "Angler" {
-				t.Errorf("coalesced decision = %+v", d)
-			}
-		}()
+		go admit(&wg)
 	}
+	for deadline := time.Now().Add(10 * time.Second); len(a.reqs) < n-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(g.gate)
+			t.Fatalf("only %d of %d requests queued", len(a.reqs), n-1)
+		}
+	}
+	close(g.gate)
 	wg.Wait()
+
 	scanned, blocked := v.Stats()
-	if scanned >= n {
-		t.Errorf("scanned %d documents for %d identical requests; coalescing had no effect", scanned, n)
-	}
-	if blocked < 1 || blocked != scanned {
-		t.Errorf("blocked = %d with %d scans", blocked, scanned)
+	if scanned != 2 || blocked != 2 {
+		t.Errorf("scanned %d, blocked %d; want 2 and 2 (the held batch, then one scan for %d queued duplicates)", scanned, blocked, n-1)
 	}
 	mtr := a.Metrics()
-	if mtr["requests"].(int64) != n {
-		t.Errorf("requests metric = %v, want %d", mtr["requests"], n)
+	if mtr["requests"].(int64) != n || mtr["batches"].(int64) != 2 {
+		t.Errorf("requests %v in %v batches, want %d in 2", mtr["requests"], mtr["batches"], n)
 	}
-	if mtr["coalesced"].(int64) != n-scanned {
-		t.Errorf("coalesced metric = %v, want %d", mtr["coalesced"], n-scanned)
+	if mtr["coalesced"].(int64) != n-2 {
+		t.Errorf("coalesced metric = %v, want %d", mtr["coalesced"], n-2)
 	}
 }
 
@@ -140,7 +190,7 @@ func TestAdmitterCoalescesDuplicates(t *testing.T) {
 func TestAdmitterDistinctDocsDistinctDecisions(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	v := NewVetter(buildMatcher(t, day))
-	a := NewAdmitter(v, 16, 20*time.Millisecond)
+	a := NewAdmitter(v, 16, 0)
 	defer a.Close()
 
 	kit := []byte(kitDoc(t, day))
@@ -174,7 +224,7 @@ func TestAdmitterDistinctDocsDistinctDecisions(t *testing.T) {
 func TestAdmitterCloseFallback(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	v := NewVetter(buildMatcher(t, day))
-	a := NewAdmitter(v, 32, time.Millisecond)
+	a := NewAdmitter(v, 32, 0)
 	kit := []byte(kitDoc(t, day))
 	if d := a.VetBytes(kit); !d.Blocked {
 		t.Fatal("pre-close admission missed kit")
@@ -316,7 +366,7 @@ func TestProxyWithAdmitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewVetter(buildMatcher(t, day))
-	a := NewAdmitter(v, 32, time.Millisecond)
+	a := NewAdmitter(v, 32, 0)
 	defer a.Close()
 	p := NewProxy(target, v)
 	p.UseAdmitter(a)
@@ -386,7 +436,7 @@ func TestAdmitterSharedStore(t *testing.T) {
 	for i := range replicas {
 		vetters[i] = NewVetter(buildMatcher(t, day))
 		vetters[i].SetVersion(1)
-		replicas[i] = NewAdmitter(vetters[i], 8, 200*time.Microsecond)
+		replicas[i] = NewAdmitter(vetters[i], 8, 0)
 		replicas[i].UseSharedStore(cache)
 		defer replicas[i].Close()
 	}
@@ -438,7 +488,7 @@ func TestAdmitterSharedStoreChecksumGuard(t *testing.T) {
 	cache := verdictcache.New(0)
 	v := NewVetter(buildMatcher(t, day))
 	v.SetVersion(1)
-	a := NewAdmitter(v, 8, 200*time.Microsecond)
+	a := NewAdmitter(v, 8, 0)
 	a.UseSharedStore(cache)
 	defer a.Close()
 
@@ -473,7 +523,7 @@ func TestAdmitterSharedStoreUnversionedVetter(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	cache := verdictcache.New(0)
 	v := NewVetter(buildMatcher(t, day)) // version never set
-	a := NewAdmitter(v, 8, 200*time.Microsecond)
+	a := NewAdmitter(v, 8, 0)
 	a.UseSharedStore(cache)
 	defer a.Close()
 	a.VetBytes([]byte(kitDoc(t, day)))
@@ -482,5 +532,40 @@ func TestAdmitterSharedStoreUnversionedVetter(t *testing.T) {
 	}
 	if puts := a.Metrics()["shared_puts"].(int64); puts != 0 {
 		t.Errorf("shared_puts = %d, want 0", puts)
+	}
+}
+
+// TestAdmitterSharedStorePinsScanningSet pins shared verdicts to the set
+// that computed them: between Update and SetVersion the new set is
+// unpinned, so a batch scanned with it must not file its verdicts under
+// the old set's version, where replicas still on the old set would serve
+// them.
+func TestAdmitterSharedStorePinsScanningSet(t *testing.T) {
+	day := synth.Date(time.August, 5)
+	cache := verdictcache.New(0)
+	v := NewVetter(buildMatcher(t, day))
+	v.SetVersion(1)
+	a := NewAdmitter(v, 8, 0)
+	a.UseSharedStore(cache)
+	defer a.Close()
+
+	// Set B blocks nothing, so it decides the kit page unlike set A.
+	v.Update(blankScanner{})
+	kit := []byte(kitDoc(t, day))
+	if d := a.VetBytes(kit); d.Blocked {
+		t.Fatalf("set B decision = %+v, want admitted", d)
+	}
+	if got, ok := cache.Get(1, contentcache.Digest(string(kit))); ok {
+		t.Errorf("set B verdict %+v filed under set A's version 1", got)
+	}
+	if v.Version() != 1 {
+		t.Errorf("Version() = %d, want 1 until SetVersion", v.Version())
+	}
+
+	// Once pinned, B's verdicts are shared under B's version.
+	v.SetVersion(2)
+	a.VetBytes(kit)
+	if got, ok := cache.Get(2, contentcache.Digest(string(kit))); !ok || got.Blocked {
+		t.Errorf("pinned set B verdict: %+v ok=%v", got, ok)
 	}
 }

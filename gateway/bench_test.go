@@ -65,7 +65,7 @@ func benchServe(b *testing.B, batched bool, swap swapMode) {
 	v := NewVetter(m)
 	var admit *Admitter
 	if batched {
-		admit = NewAdmitter(v, workers, 200*time.Microsecond)
+		admit = NewAdmitter(v, workers, 0)
 		defer admit.Close()
 	}
 
@@ -199,7 +199,7 @@ func benchServeFleet(b *testing.B, replicas int, shared bool) {
 		}
 		vetters[i] = NewVetter(m)
 		vetters[i].SetVersion(1)
-		admits[i] = NewAdmitter(vetters[i], workers, 200*time.Microsecond)
+		admits[i] = NewAdmitter(vetters[i], workers, 0)
 		if shared {
 			admits[i].UseSharedStore(cache)
 		}

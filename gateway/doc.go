@@ -10,9 +10,12 @@
 // as []byte through pooled buffers (Vetter.VetBytes, the BytesScanner
 // fast path) — a vetted-and-passed response allocates nothing on the
 // scan path. Concurrent admissions coalesce through the Admitter into
-// micro-batches that dispatch one ScanAll sweep per window and scan each
-// distinct in-flight document once; under the hot-key skew an edge
-// actually sees, most requests are answered by another request's scan.
+// micro-batches that dispatch one ScanAll sweep per batch and scan each
+// distinct in-flight document once. Batches form from load, not a timer:
+// a batch is whatever is already queued when the previous one finishes,
+// so an idle gateway adds no queueing delay. Under the hot-key skew an
+// edge actually sees, most requests are answered by another request's
+// scan.
 // Batched decisions are differentially pinned identical to per-document
 // decisions, so batching is an economics knob, never a semantics one.
 //

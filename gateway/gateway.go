@@ -85,8 +85,10 @@ func WrapMulti(m *kizzle.MultiMatcher) Scanner { return multiAdapter{m: m} }
 // concurrent use, and its signature set can be swapped live (the
 // "frequent, automatic updates" of the AV distribution channel).
 type Vetter struct {
-	mu      sync.RWMutex
-	scanner Scanner
+	// live holds the deployed signature set together with the version
+	// its verdicts may be shared under, so one load gives a batch a scanner
+	// and a pin that cannot disagree.
+	live atomic.Pointer[deployment]
 
 	scanned atomic.Int64
 	blocked atomic.Int64
@@ -94,33 +96,44 @@ type Vetter struct {
 	lat     servemetrics.Hist
 }
 
-// NewVetter builds a vetter around an initial signature set.
-func NewVetter(scanner Scanner) *Vetter {
-	return &Vetter{scanner: scanner}
+// deployment is one installed signature set. pin is the version recorded
+// for this very scanner by SetVersion; 0 means unpinned — the set was
+// installed by Update and its version is not yet known, so its verdicts
+// must not enter, or be answered from, a version-keyed shared store.
+type deployment struct {
+	scanner Scanner
+	pin     int64
 }
 
-// Update swaps in a new signature set atomically.
+// NewVetter builds a vetter around an initial signature set.
+func NewVetter(scanner Scanner) *Vetter {
+	v := &Vetter{}
+	v.live.Store(&deployment{scanner: scanner})
+	return v
+}
+
+// Update swaps in a new signature set atomically. The new set is
+// unpinned until SetVersion records its version.
 func (v *Vetter) Update(scanner Scanner) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.scanner = scanner
+	v.live.Store(&deployment{scanner: scanner})
 }
 
 // SetVersion records the deployed signature-set version for the metrics
-// surface; it does not affect scanning. Callers that poll sigdb set it
-// alongside Update.
-func (v *Vetter) SetVersion(version int64) { v.version.Store(version) }
+// surface and pins the set currently installed to it; it does not affect
+// scanning. Callers that poll sigdb call it right after each Update, from
+// the one goroutine that deploys.
+func (v *Vetter) SetVersion(version int64) {
+	v.version.Store(version)
+	for {
+		d := v.live.Load()
+		if v.live.CompareAndSwap(d, &deployment{scanner: d.scanner, pin: version}) {
+			return
+		}
+	}
+}
 
 // Version returns the version recorded by SetVersion (0 if never set).
 func (v *Vetter) Version() int64 { return v.version.Load() }
-
-// current returns the live scanner.
-func (v *Vetter) current() Scanner {
-	v.mu.RLock()
-	scanner := v.scanner
-	v.mu.RUnlock()
-	return scanner
-}
 
 // decide folds matches into a Decision, maintaining the blocked counter.
 func (v *Vetter) decide(matches []kizzle.Match) Decision {
@@ -143,7 +156,7 @@ func (v *Vetter) Vet(doc string) Decision {
 // of the buffer and may reuse it the moment the call returns; decisions
 // are identical to Vet(string(doc)).
 func (v *Vetter) VetBytes(doc []byte) Decision {
-	scanner := v.current()
+	scanner := v.live.Load().scanner
 	v.scanned.Add(1)
 	if scanner == nil {
 		return Decision{}
@@ -179,7 +192,12 @@ func (v *Vetter) VetAll(docs []string) []Decision {
 // scan (and one string copy) per document. Buffer-ownership rules are
 // those of VetBytes.
 func (v *Vetter) VetAllBytes(docs [][]byte) []Decision {
-	scanner := v.current()
+	return v.vetAll(v.live.Load().scanner, docs)
+}
+
+// vetAll is VetAllBytes against a given signature set, so a caller that
+// already holds a deployment scans with exactly that set.
+func (v *Vetter) vetAll(scanner Scanner, docs [][]byte) []Decision {
 	v.scanned.Add(int64(len(docs)))
 	out := make([]Decision, len(docs))
 	if scanner == nil || len(docs) == 0 {

@@ -573,17 +573,16 @@ func tokensCached(p ingest.Profile, cache *contentcache.Cache, content string) [
 
 // labelClusters unpacks each merged cluster's prototype and labels it by
 // best winnow overlap against the corpus. Clusters are independent, so
-// labeling fans out across the worker pool with per-worker winnow
-// scratches; results land by index, keeping the output order identical to
-// the serial loop. Unpack results and fingerprints are content-cached, so
-// a day dominated by previously seen payloads labels almost for free. The
-// second return is the total per-family sweep count (Stats.LabelSweeps).
+// unpacking and labeling fan out across the worker pool with per-worker
+// winnow scratches; results land by index, keeping the output order
+// identical to the serial loop. Unpack results and fingerprints are
+// content-cached, so a day dominated by previously seen payloads labels
+// almost for free. The second return is the total per-family sweep count
+// (Stats.LabelSweeps).
 func labelClusters(inputs []Input, u uniqueSet, merged [][]int, corpus *Corpus, cfg Config) ([]Cluster, int) {
 	out := make([]Cluster, len(merged))
 	workers := max(cfg.Workers, 1)
-	scratches := make([]winnow.Scratch, workers)
-	sweeps := make([]int, workers)
-	parallel.ForEach(len(merged), workers, 1, func(worker, mi int) {
+	parallel.ForEach(len(merged), workers, 1, func(_, mi int) {
 		uniques := merged[mi]
 		rep := repOf(u, uniques)
 		var samples []int
@@ -595,16 +594,42 @@ func labelClusters(inputs []Input, u uniqueSet, merged [][]int, corpus *Corpus, 
 		unp := unpackCached(cfg.profile(), cfg.Cache, inputs[proto].Content)
 		cl.Unpacked = unp.payload
 		cl.UnpackMethod = unp.method
-		if corpus != nil {
-			family, overlap, swept := bestMatchCached(cfg.Cache, &scratches[worker], corpus, cl.Unpacked)
-			sweeps[worker] += swept
-			cl.Overlap = overlap
-			if family != "" && overlap >= cfg.Threshold(family) {
-				cl.Label = family
-			}
-		}
 		out[mi] = cl
 	})
+	if corpus == nil {
+		return out, 0
+	}
+	// Differently packed prototypes often unpack to one payload. Each
+	// distinct payload is labeled once: two workers racing on the same
+	// payload would both miss or one would hit depending on the schedule,
+	// and the cache and sweep counters must be a function of the input.
+	slot := make(map[string]int, len(out))
+	var distinct []string
+	for mi := range out {
+		if _, ok := slot[out[mi].Unpacked]; !ok {
+			slot[out[mi].Unpacked] = len(distinct)
+			distinct = append(distinct, out[mi].Unpacked)
+		}
+	}
+	type match struct {
+		family  string
+		overlap float64
+	}
+	matches := make([]match, len(distinct))
+	scratches := make([]winnow.Scratch, workers)
+	sweeps := make([]int, workers)
+	parallel.ForEach(len(distinct), workers, 1, func(worker, k int) {
+		family, overlap, swept := bestMatchCached(cfg.Cache, &scratches[worker], corpus, distinct[k])
+		sweeps[worker] += swept
+		matches[k] = match{family: family, overlap: overlap}
+	})
+	for mi := range out {
+		m := matches[slot[out[mi].Unpacked]]
+		out[mi].Overlap = m.overlap
+		if m.family != "" && m.overlap >= cfg.Threshold(m.family) {
+			out[mi].Label = m.family
+		}
+	}
 	total := 0
 	for _, s := range sweeps {
 		total += s

@@ -2,6 +2,7 @@ package sigmatch
 
 import (
 	"runtime"
+	"sync"
 
 	"kizzle/internal/jstoken"
 	"kizzle/internal/parallel"
@@ -19,8 +20,24 @@ import (
 // ScanBytes scans a document held in a byte slice without copying it.
 // Results are identical to Scan(string(doc)).
 func (s *Scanner) ScanBytes(doc []byte) []Match {
-	return s.ScanTokens(jstoken.LexDocument(zerocopy.String(doc)))
+	if len(doc) > maxPooledLex {
+		return s.ScanTokens(jstoken.LexDocument(zerocopy.String(doc)))
+	}
+	sc := lexPool.Get().(*jstoken.Scratch)
+	defer lexPool.Put(sc)
+	return s.ScanTokens(sc.LexDocumentInto(zerocopy.String(doc)))
 }
+
+// lexPool recycles token buffers across ScanBytes calls. A scan's tokens
+// live only until it returns, so serving at load lexes without a token
+// slice per document — that slice is most of what a scan allocates, and
+// the collections it triggers are what stretch admission tails.
+var lexPool = sync.Pool{New: func() any { return new(jstoken.Scratch) }}
+
+// maxPooledLex bounds the documents lexed into pooled buffers (a pooled
+// buffer holds ~11 bytes per document byte), so a rare huge page is not
+// kept alive by the pool between collections.
+const maxPooledLex = 256 << 10
 
 // DetectsBytes reports whether any deployed signature matches the
 // document, scanning the byte slice in place and stopping at the first

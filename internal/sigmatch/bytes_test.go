@@ -3,6 +3,7 @@ package sigmatch
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"kizzle/internal/jstoken"
@@ -11,8 +12,8 @@ import (
 
 // TestScanBytesMatchesScan pins the zero-copy byte-slice entry points
 // against the string path: same documents, same matches, same detection
-// verdicts — including documents the scanner was not trained on and the
-// empty document.
+// verdicts — including documents the scanner was not trained on, the
+// empty document, and one too large for the pooled lexing buffers.
 func TestScanBytesMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var sigs []siggen.Signature
@@ -39,6 +40,8 @@ func TestScanBytesMatchesScan(t *testing.T) {
 		"",
 		"var benign = 1;",
 		`<html><script>var q = window["x"](42); q.go("y");</script></html>`,
+		// Over maxPooledLex: lexed outside the buffer pool.
+		strings.Repeat("var pad = 1;\n", maxPooledLex/8)+docs[0],
 	)
 	s, err := NewScanner(sigs)
 	if err != nil {
