@@ -159,7 +159,17 @@ func TestVerifyPathSpec(t *testing.T) {
 type tamperableWorker struct {
 	real  http.Handler
 	armed atomic.Bool
+	// lies counts fabricated answers; liedEnough closes when it reaches
+	// effectiveLies.
+	lies       atomic.Int64
+	liedEnough chan struct{}
 }
+
+// effectiveLies is how many fabricated partitions guarantee the drill a
+// detectable lie. The tampered day's compile cuts 8 partitions, and
+// folding all of one into a single cluster changes the published set for
+// 6 of them; any 3 therefore include one that does.
+const effectiveLies = 3
 
 func (tw *tamperableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !tw.armed.Load() || r.URL.Path != "/partition" {
@@ -189,6 +199,9 @@ func (tw *tamperableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(&resp)
+	if tw.lies.Add(1) == effectiveLies {
+		close(tw.liedEnough)
+	}
 }
 
 // TestCertificationQuarantine is the corrupted-worker drill, the
@@ -208,10 +221,15 @@ func TestCertificationQuarantine(t *testing.T) {
 	}
 	samplesDir, knownDir := writeCorpus(t)
 
-	tamper := &tamperableWorker{real: shardcoord.NewWorker().Handler()}
+	tamper := &tamperableWorker{real: shardcoord.NewWorker().Handler(), liedEnough: make(chan struct{})}
 	tamperSrv := httptest.NewServer(tamper)
 	t.Cleanup(tamperSrv.Close)
-	honest := httptest.NewServer(shardcoord.NewWorker().Handler())
+	// While the tamper is armed, the honest worker holds its first
+	// partition until the tampered one has fabricated effectiveLies
+	// answers, so the drill does not depend on how the pull queue splits
+	// the units between the two.
+	honest := httptest.NewServer(holdFirstPartition(shardcoord.NewWorker().Handler(),
+		tamper.armed.Load, tamper.liedEnough))
 	t.Cleanup(honest.Close)
 	urls := []string{tamperSrv.URL, honest.URL}
 

@@ -272,12 +272,21 @@ func TestServingLoopWorkerDeath(t *testing.T) {
 	}
 
 	// Worker 0 is healthy; worker 1 serves two work units and then dies
-	// mid-recompile (connection-level failure from then on).
-	healthy := httptest.NewServer(shardcoord.NewWorker().Handler())
+	// mid-recompile (connection-level failure from then on). The healthy
+	// worker holds its first partition until the dying one has been handed
+	// a third unit, so the death happens whatever the pull queue's
+	// schedule.
+	third := make(chan struct{})
+	healthy := httptest.NewServer(holdFirstPartition(shardcoord.NewWorker().Handler(),
+		func() bool { return true }, third))
 	t.Cleanup(healthy.Close)
 	var served atomic.Int64
 	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if served.Add(1) > 2 {
+		n := served.Add(1)
+		if n == 3 {
+			close(third)
+		}
+		if n > 2 {
 			// Drop the connection without a response, as a crashed
 			// process would.
 			if hj, ok := w.(http.Hijacker); ok {
@@ -305,6 +314,25 @@ func TestServingLoopWorkerDeath(t *testing.T) {
 	if served.Load() <= 2 {
 		t.Fatalf("dying worker served %d units — death never happened mid-recompile", served.Load())
 	}
+}
+
+// holdFirstPartition wraps a worker handler so that the first /partition
+// it receives while active() holds waits for release, or for a deadline
+// that keeps a broken scenario from hanging the suite. The fleet drills
+// use it to hand the other worker the units their scenario needs,
+// whatever the pull queue's schedule.
+func holdFirstPartition(next http.Handler, active func() bool, release <-chan struct{}) http.Handler {
+	var held atomic.Bool
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/partition" && active() && held.CompareAndSwap(false, true) {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			case <-time.After(30 * time.Second):
+			}
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // TestPublisherRestartKeepsWarmCache pins the restart economics the

@@ -17,12 +17,12 @@
 //     partitioning), and each partition is dispatched the moment it
 //     fills — a shard fleet clusters while the host still lexes the tail;
 //   - cluster + pre-reduce: weighted DBSCAN per partition over the
-//     allocation-free banded edit-distance kernel (textdist.Scratch +
-//     frequency lower bounds), then PreReducePartition compacts the
-//     result (representative merge + local noise fold). The dominant
-//     cold-path cost and the stage that scales horizontally:
-//     Config.Clusterer dispatches work units to shard workers
-//     (internal/shardcoord), bit-identically;
+//     allocation-free bit-parallel banded edit-distance kernel
+//     (textdist.Scratch + frequency lower bounds), then
+//     PreReducePartition compacts the result (representative merge +
+//     local noise fold). The dominant cold-path cost and the stage that
+//     scales horizontally: Config.Clusterer dispatches work units to shard
+//     workers (internal/shardcoord), bit-identically;
 //   - hierarchical reduce: union-find merge over the summaries'
 //     representatives, noise re-cluster, straggler adoption — the step
 //     the paper calls the serial bottleneck. Its three distance sweeps

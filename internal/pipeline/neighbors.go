@@ -22,8 +22,8 @@ import (
 //   - a symbol-frequency lower bound: one edit operation moves the
 //     per-symbol histograms by at most an L1 mass of 2, so a pair whose
 //     histogram L1 distance exceeds 2·maxDist cannot be within eps — an
-//     O(alphabet) test that spares the O(band·len) dynamic program for
-//     most cross-shape pairs;
+//     O(alphabet) test that spares the bit-parallel edit distance
+//     (O(band·len/64) word operations) for most cross-shape pairs;
 //
 //   - symmetric evaluation — each unordered pair is tested at most once;
 //
@@ -35,7 +35,7 @@ import (
 //     content-addressed by the pair's sequence identities (two
 //     independent 64-bit hashes plus length, each side), so a day whose
 //     unique sequences mostly recur re-reads yesterday's verdicts
-//     instead of re-running the dynamic program. ids and cache may be nil
+//     instead of re-running the edit distance. ids and cache may be nil
 //     to disable.
 //
 // The resulting adjacency lists are in ascending order, making DBSCAN over
@@ -224,9 +224,9 @@ func (h *histArena) at(k int) histRef {
 }
 
 // pairWithin runs the shared within-eps decision for one (a, b) sequence
-// pair: histogram lower bounds, then the cached verdict, then the banded
-// dynamic program. It mirrors neighborGraph's inline `within` exactly, so
-// sweepPairs and neighborGraph agree on every pair.
+// pair: histogram lower bounds, then the cached verdict, then the
+// bit-parallel banded edit distance. It mirrors neighborGraph's inline
+// `within` exactly, so sweepPairs and neighborGraph agree on every pair.
 func pairWithin(seqs [][]jstoken.Symbol, ids []seqID, cache *contentcache.Cache,
 	a, b int, ha, hb histRef, eps float64, scratch *textdist.Scratch) bool {
 	ml := len(seqs[a])

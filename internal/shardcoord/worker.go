@@ -114,8 +114,8 @@ func WithWorkerParallelism(n int) WorkerOption {
 
 // WithWorkerCache gives the worker a content-addressed cache for pair
 // within-eps verdicts, carried across requests — day N+1's recurring
-// shapes skip the banded DP entirely, for partition clustering and reduce
-// sweeps alike. Pair it with contentcache.Load / Save
+// shapes skip the edit-distance kernel entirely, for partition clustering
+// and reduce sweeps alike. Pair it with contentcache.Load / Save
 // (pipeline.CacheCodecs) to keep the warm verdicts across restarts.
 func WithWorkerCache(c *contentcache.Cache) WorkerOption {
 	return func(w *Worker) { w.cache = c }

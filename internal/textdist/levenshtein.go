@@ -1,12 +1,22 @@
 package textdist
 
-import "kizzle/internal/jstoken"
+import (
+	"math/bits"
 
-// Scratch holds reusable dynamic-programming rows for distance
-// computations. The zero value is ready to use. A Scratch is not safe for
-// concurrent use; give each worker goroutine its own.
+	"kizzle/internal/jstoken"
+)
+
+// Scratch holds the reusable state of the distance computations. The
+// zero value is ready to use. A Scratch is not safe for concurrent use;
+// give each worker goroutine its own.
 type Scratch struct {
-	prev, curr []int
+	prev, curr []int // Distance's DP rows
+	// DistanceWithin's state: the match table, its symbol index, the
+	// match-table offset of each column, and the DP words.
+	peq    []uint64
+	slot   []int32
+	cols   []int
+	blocks []block
 }
 
 // trimCommon strips the shared prefix and suffix of a and b. The
@@ -36,7 +46,7 @@ func trimCommon(a, b []jstoken.Symbol) ([]jstoken.Symbol, []jstoken.Symbol) {
 }
 
 // rows returns the two DP rows, each with capacity at least n, without
-// clearing them (every algorithm below initializes the cells it reads).
+// clearing them (Distance initializes every cell it reads).
 func (s *Scratch) rows(n int) (prev, curr []int) {
 	if cap(s.prev) < n {
 		s.prev = make([]int, n)
@@ -80,10 +90,13 @@ func (s *Scratch) Distance(a, b []jstoken.Symbol) int {
 }
 
 // DistanceWithin computes the Levenshtein distance between a and b if it is
-// at most maxDist, using a band of width 2·maxDist+1 around the diagonal.
-// If the true distance exceeds maxDist it returns (0, false). This runs in
-// O(maxDist · max(len)) time, which is what makes DBSCAN over thousands of
-// samples per partition tractable.
+// at most maxDist. If the true distance exceeds maxDist it returns
+// (0, false). It runs Myers' bit-parallel edit distance in Hyyrö's blocked
+// form over the Ukkonen band: the shorter sequence runs down the rows, 64
+// rows per machine word, and each column of the longer one advances only
+// the words that meet the band, so a pair costs O(maxDist·max(len)/64)
+// word operations. That is what makes DBSCAN over thousands of samples per
+// partition tractable.
 func (s *Scratch) DistanceWithin(a, b []jstoken.Symbol, maxDist int) (int, bool) {
 	if maxDist < 0 {
 		return 0, false
@@ -102,101 +115,143 @@ func (s *Scratch) DistanceWithin(a, b []jstoken.Symbol, maxDist int) (int, bool)
 	if len(a) == 0 {
 		return len(b), true
 	}
-
-	// inf is "unreachable" for banded cells. It is deliberately far below
-	// the integer ceiling: the branch-free inner loop adds to inf cells
-	// instead of guarding them, and each row grows a cell by at most 1, so
-	// inf + len(a) can never overflow (or dip below any real distance,
-	// which stays <= maxDist+1 per the early abandon).
-	const inf = int(^uint(0) >> 2)
-	width := 2*maxDist + 1
-	// One sentinel cell past the band: prev[width] reads as inf so the
-	// deletion source prev[k+1] needs no bounds branch at the band edge.
-	prev, curr := s.rows(width + 1)
-	prev[width], curr[width] = inf, inf
-	// Row i stores cells j in [i-maxDist, i+maxDist]; index k maps to
-	// j = i - maxDist + k.
-	for k := 0; k < width; k++ {
-		j := 0 - maxDist + k
-		if j >= 0 && j <= len(b) {
-			prev[k] = j
-		} else {
-			prev[k] = inf
-		}
+	m, n := len(a), len(b)
+	// No distance exceeds n, so a larger bound changes nothing; clamping
+	// keeps the band arithmetic below from overflowing.
+	k := min(maxDist, n)
+	// Ukkonen band: a path of cost ≤ k through cell (i, j) pays at least
+	// |j-i| to reach it and |j-i-(n-m)| to leave it, so its diagonal j-i
+	// lies in [-below, above]. Cells off the band may hold overestimates
+	// without changing any distance ≤ k.
+	above, below := (k+n-m)/2, (k-n+m)/2
+	peq, cols := s.prepare(a, b)
+	words := (m + 63) >> 6
+	if cap(s.blocks) < words {
+		s.blocks = make([]block, words)
 	}
-	for i := 1; i <= len(a); i++ {
-		rowMin := inf
-		ai := a[i-1]
-		// Active cells of this row: k with 0 <= j <= len(b). Cells outside
-		// are never read by later rows except the two adjacent to the
-		// active range, which are set to inf explicitly below.
-		kLo := 0
-		if maxDist > i {
-			kLo = maxDist - i // j >= 0
-		}
-		kHi := width
-		if over := i + maxDist - len(b); over > 0 {
-			kHi = width - over // j <= len(b)
-		}
-		left := inf // curr[k-1] of the previous active iteration
-		k := kLo
-		if kLo > 0 {
-			curr[kLo-1] = inf
-		}
-		if i <= maxDist {
-			// j == 0 boundary cell, present at kLo while i <= maxDist.
-			curr[kLo] = i
-			rowMin = i
-			left = i
-			k = kLo + 1
-		}
-		// off maps k to the b index j-1 = i - maxDist + k - 1. Every k in
-		// [k, kHi) has j in [1, len(b)], so the whole active range reads a
-		// contiguous slice of b with no per-cell guards: inf cells take
-		// part in the min like any other value and simply never win.
-		off := i - maxDist - 1
-		for ; k < kHi; k++ {
-			// Substitution / match: prev row, same k. b2i compiles to a
-			// flag set, not a branch.
-			d := prev[k] + b2i(ai != b[off+k])
-			// Deletion from a: prev row, k+1 (same j; sentinel at the
-			// band edge). Insertion into a: current row, k-1 (j-1). Both
-			// mins compile to conditional moves.
-			if v := prev[k+1] + 1; v < d {
-				d = v
+	blocks := s.blocks[:words]
+	// Row i (1-based) is bit (i-1)&63 of word (i-1)>>6. Words first..last
+	// are active; top is the DP value of the row above word first, in the
+	// previous column.
+	first, last, top := 0, -1, 0
+	for j := 1; j <= n; j++ {
+		// A word entering the band at the bottom starts with every
+		// vertical delta +1 below the word above it: an overestimate of
+		// cells that were off the band.
+		for hi := min(m, j+below); last < (hi-1)>>6; {
+			up := top
+			if last >= first {
+				up = blocks[last].score
 			}
-			if v := left + 1; v < d {
-				d = v
-			}
-			curr[k] = d
-			left = d
-			if d < rowMin {
-				rowMin = d
-			}
+			last++
+			blocks[last] = block{pv: ^uint64(0), score: up + 64}
 		}
-		if kHi < width {
-			curr[kHi] = inf
+		// A word leaving the band at the top is dropped; the row above
+		// the new first word is then taken to grow by +1 per column, again
+		// an overestimate of off-band cells.
+		for lo := max(1, j-above); first < (lo-1)>>6; first++ {
+			top = blocks[first].score
 		}
-		if rowMin > maxDist {
+		top++
+		eq := peq[cols[j-1]:]
+		// Horizontal delta +1 above word first: exact for row 0.
+		hp, hn := uint64(1), uint64(0)
+		up, bound := top, n+1
+		for w := first; w <= last; w++ {
+			bl := &blocks[w]
+			bl.pv, bl.mv, hp, hn = advance(bl.pv, bl.mv, eq[w], hp, hn)
+			bl.score += int(hp) - int(hn)
+			// Vertical deltas are ±1 at most, so no cell of the word is
+			// below score-63, nor below the midpoint bound between the
+			// row above it (up) and its last row (score).
+			bound = min(bound, max(bl.score-63, (up+bl.score-63)>>1))
+			up = bl.score
+		}
+		// An optimal path crosses every column on a band cell, and never
+		// decreases; once every active cell exceeds k, so does the result.
+		if bound > k {
 			return 0, false
 		}
-		prev, curr = curr, prev
 	}
-	s.prev, s.curr = prev[:cap(prev)], curr[:cap(curr)]
-	k := len(b) - len(a) + maxDist
-	if k < 0 || k >= width || prev[k] > maxDist {
+	// The last word's score is its bottom row, m rounded up to a
+	// multiple of 64; take off the vertical deltas of the padding rows.
+	bl := blocks[last]
+	pad := ^uint64(0) << (m - (words-1)*64)
+	d := bl.score - bits.OnesCount64(bl.pv&pad) + bits.OnesCount64(bl.mv&pad)
+	if d > maxDist {
 		return 0, false
 	}
-	return prev[k], true
+	return d, true
 }
 
-// b2i converts a bool to 0 or 1 without a branch (the compiler emits a
-// flag-set instruction for this form).
-func b2i(v bool) int {
-	if v {
-		return 1
+// block is one 64-row word of the bit-parallel DP column: pv and mv flag
+// the rows whose value is one above (pv) or below (mv) the row before,
+// and score is the value of the word's last row.
+type block struct {
+	pv, mv uint64
+	score  int
+}
+
+// advance moves one word of the DP one column to the right (Myers 1999,
+// in Hyyrö's blocked form). eq flags the rows whose symbol matches the
+// column's. hp and hn are 1 when the row above the word grows (hp) or
+// shrinks (hn) from the previous column to this one; the returned pair
+// says the same of the word's last row.
+func advance(pv, mv, eq, hp, hn uint64) (uint64, uint64, uint64, uint64) {
+	xv := eq | mv
+	eq |= hn
+	xh := (((eq & pv) + pv) ^ pv) | eq
+	ph := mv | ^(xh | pv)
+	mh := pv & xh
+	outp, outn := ph>>63, mh>>63
+	ph = ph<<1 | hp
+	mh = mh<<1 | hn
+	return mh | ^(xv | ph), ph & xv, outp, outn
+}
+
+// prepare builds the match table for rows a and columns b. peq holds one
+// row of (len(a)+63)/64 words per distinct symbol of a, after a zero row
+// for symbols absent from a; cols[j] is the offset of b[j]'s row.
+func (s *Scratch) prepare(a, b []jstoken.Symbol) (peq []uint64, cols []int) {
+	words := (len(a) + 63) >> 6
+	hi := 0
+	for _, x := range a {
+		hi = max(hi, int(x))
 	}
-	return 0
+	if len(s.slot) <= hi {
+		s.slot = make([]int32, hi+1)
+	}
+	rows := int32(1)
+	for _, x := range a {
+		if s.slot[x] == 0 {
+			s.slot[x] = rows
+			rows++
+		}
+	}
+	if need := int(rows) * words; cap(s.peq) < need {
+		s.peq = make([]uint64, need)
+	}
+	peq = s.peq[:int(rows)*words]
+	clear(peq)
+	for i, x := range a {
+		peq[int(s.slot[x])*words+i>>6] |= 1 << (i & 63)
+	}
+	if cap(s.cols) < len(b) {
+		s.cols = make([]int, len(b))
+	}
+	cols = s.cols[:len(b)]
+	for j, x := range b {
+		r := 0
+		if int(x) < len(s.slot) {
+			r = int(s.slot[x])
+		}
+		cols[j] = r * words
+	}
+	// Leave the symbol index zeroed for the next pair.
+	for _, x := range a {
+		s.slot[x] = 0
+	}
+	return peq, cols
 }
 
 // Normalized returns the edit distance between a and b divided by the

@@ -309,14 +309,33 @@ func BenchmarkDistanceWithin(b *testing.B) {
 			s.DistanceWithin(x, y, 40)
 		}
 	})
+	// The shape that dominates a cold compile: a ~2,500-symbol sequence
+	// against a junk-inserted variant of itself that ends within eps 0.10,
+	// so early abandon never fires and the whole band is computed.
+	b.Run("junk-within", func(b *testing.B) {
+		p := alphaSeq(rng, 2500, 60, 16)
+		q := junkVariant(rng, p, 180, 60, 16)
+		maxDist := int(0.1 * float64(max(len(p), len(q))))
+		full := Distance(p, q)
+		if full > maxDist || full < maxDist/2 {
+			b.Fatalf("junk variant at distance %d, want within [%d, %d]", full, maxDist/2, maxDist)
+		}
+		var s Scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if d, ok := s.DistanceWithin(p, q, maxDist); !ok || d != full {
+				b.Fatalf("DistanceWithin = (%d, %v), want (%d, true)", d, ok, full)
+			}
+		}
+	})
 }
 
-// referenceDistanceWithin is the pre-block-form banded implementation,
-// kept verbatim as the scalar reference: per-cell inf guards, a bounds
-// branch at the band edge, and a branchy three-way min. The rewritten
-// inner loop (contiguous active slice, sentinel cell, branch-free min3)
-// must reproduce it cell for cell; TestDistanceWithinMatchesReference
-// pins that equivalence on the full (distance, ok) contract.
+// referenceDistanceWithin is a scalar banded DP, kept as an independent
+// reference: it fills the ±maxDist band cell by cell, with per-cell inf
+// guards, a bounds branch at the band edge, and a branchy three-way min.
+// TestDistanceWithinMatchesReference pins the bit-parallel kernel to it
+// on the full (distance, ok) contract.
 func referenceDistanceWithin(s *Scratch, a, b []jstoken.Symbol, maxDist int) (int, bool) {
 	if maxDist < 0 {
 		return 0, false
@@ -405,8 +424,8 @@ func referenceDistanceWithin(s *Scratch, a, b []jstoken.Symbol, maxDist int) (in
 	return prev[k], true
 }
 
-// TestDistanceWithinMatchesReference pins the flat inner loop against the
-// scalar reference across random near-duplicate pairs, every bound from 0
+// TestDistanceWithinMatchesReference pins the bit-parallel kernel against
+// the scalar reference across random near-duplicate pairs, every bound from 0
 // to beyond the true distance, and the degenerate shapes (empty, equal,
 // single-symbol, maximal junk).
 func TestDistanceWithinMatchesReference(t *testing.T) {
@@ -458,4 +477,150 @@ func TestDistanceWithinMatchesReference(t *testing.T) {
 	check(nil, nil, 0)
 	check(nil, syms(1, 2, 3), 3)
 	check(syms(1), syms(2), 1)
+}
+
+// checkWithin asserts the full (distance, ok) contract of DistanceWithin
+// against the full DP, in both argument orders, for one bound.
+func checkWithin(t *testing.T, s *Scratch, a, b []jstoken.Symbol, full, maxDist int) {
+	t.Helper()
+	for _, swap := range []bool{false, true} {
+		x, y := a, b
+		if swap {
+			x, y = b, a
+		}
+		got, ok := s.DistanceWithin(x, y, maxDist)
+		want, wantOK := full, full <= maxDist
+		if !wantOK {
+			want = 0
+		}
+		if got != want || ok != wantOK {
+			t.Fatalf("DistanceWithin(len %d, len %d, maxDist=%d) = (%d, %v), full DP %d",
+				len(x), len(y), maxDist, got, ok, full)
+		}
+	}
+}
+
+// alphaSeq draws n symbols from an alphabet of size alpha starting at base,
+// so callers can exercise the webkit range (symbols above 255) and the top
+// of the uint16 range.
+func alphaSeq(rng *rand.Rand, n, alpha, base int) []jstoken.Symbol {
+	out := make([]jstoken.Symbol, n)
+	for i := range out {
+		out[i] = jstoken.Symbol(base + rng.Intn(alpha))
+	}
+	return out
+}
+
+// junkVariant returns a near-duplicate of a: runs of junk symbols inserted
+// (the polymorphic-packer shape), plus scattered substitutions and
+// deletions, about edits operations in all.
+func junkVariant(rng *rand.Rand, a []jstoken.Symbol, edits, alpha, base int) []jstoken.Symbol {
+	out := append([]jstoken.Symbol(nil), a...)
+	for e := 0; e < edits; {
+		switch op := rng.Intn(4); {
+		case op == 0 && len(out) > 0:
+			out[rng.Intn(len(out))] = jstoken.Symbol(base + rng.Intn(alpha))
+			e++
+		case op == 1 && len(out) > 0:
+			p := rng.Intn(len(out))
+			out = append(out[:p], out[p+1:]...)
+			e++
+		default:
+			run := 1 + rng.Intn(12)
+			p := rng.Intn(len(out) + 1)
+			junk := alphaSeq(rng, run, alpha, base)
+			out = append(out[:p], append(junk, out[p:]...)...)
+			e += run
+		}
+	}
+	return out
+}
+
+// TestDistanceWithinMultiBlock extends the differential check past the
+// 64-row word of the bit-parallel kernel: long near-duplicates with bands
+// up to 300, lengths at the word edges, bounds of 0 and beyond the
+// lengths, pairs that trim to empty, and wide alphabets.
+func TestDistanceWithinMultiBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(2017))
+	var s Scratch
+	alphabets := []struct{ alpha, base int }{
+		{1, 1}, {2, 1}, {8, 1}, {60, 16}, {300, 1}, {300, 600}, {40, 65496},
+	}
+	bounds := func(full, la, lb int) []int {
+		return []int{0, 1, full - 1, full, full + 1, rng.Intn(301), la, lb, la + lb, 1 << 62}
+	}
+	check := func(t *testing.T, a, b []jstoken.Symbol) {
+		t.Helper()
+		full := Distance(a, b)
+		for _, k := range bounds(full, len(a), len(b)) {
+			if k >= 0 {
+				checkWithin(t, &s, a, b, full, k)
+			}
+		}
+	}
+	t.Run("long", func(t *testing.T) {
+		n := 60
+		if testing.Short() {
+			n = 12
+		}
+		for trial := 0; trial < n; trial++ {
+			al := alphabets[rng.Intn(len(alphabets))]
+			a := alphaSeq(rng, 200+rng.Intn(2800), al.alpha, al.base)
+			b := junkVariant(rng, a, rng.Intn(300), al.alpha, al.base)
+			check(t, a, b)
+		}
+	})
+	t.Run("word-edges", func(t *testing.T) {
+		for _, la := range []int{1, 63, 64, 65, 127, 128, 129, 192, 193} {
+			for trial := 0; trial < 20; trial++ {
+				al := alphabets[rng.Intn(len(alphabets))]
+				a := alphaSeq(rng, la, al.alpha, al.base)
+				check(t, a, junkVariant(rng, a, rng.Intn(1+la/4), al.alpha, al.base))
+				// Unrelated pairs of word-edge lengths: every band cell
+				// saturates and early abandon decides.
+				check(t, a, alphaSeq(rng, la+rng.Intn(3), al.alpha, al.base))
+			}
+		}
+	})
+	t.Run("trims-to-empty", func(t *testing.T) {
+		for trial := 0; trial < 50; trial++ {
+			core := alphaSeq(rng, rng.Intn(150), 5, 1)
+			p := rng.Intn(len(core) + 1)
+			ins := alphaSeq(rng, rng.Intn(80), 5, 1)
+			b := append(append(append([]jstoken.Symbol(nil), core[:p]...), ins...), core[p:]...)
+			check(t, core, b)
+		}
+	})
+}
+
+// FuzzDistanceWithin checks the bit-parallel kernel against the full DP on
+// arbitrary (a, b, maxDist). Each byte is one symbol, lifted by hi·256 so
+// the fuzzer also reaches symbols above 255.
+func FuzzDistanceWithin(f *testing.F) {
+	f.Add([]byte("kitten"), []byte("sitting"), uint8(0), 3)
+	f.Add([]byte(""), []byte("abc"), uint8(1), 2)
+	f.Add(make([]byte, 65), make([]byte, 64), uint8(255), 0)
+	f.Add([]byte("abcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabc"),
+		[]byte("abcabcabcabcabcXXabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcabcYabc"), uint8(2), 4)
+	var s Scratch
+	f.Fuzz(func(t *testing.T, x, y []byte, hi uint8, maxDist int) {
+		if len(x) > 400 || len(y) > 400 {
+			return
+		}
+		lift := func(p []byte) []jstoken.Symbol {
+			out := make([]jstoken.Symbol, len(p))
+			for i, c := range p {
+				out[i] = jstoken.Symbol(hi)<<8 | jstoken.Symbol(c)
+			}
+			return out
+		}
+		a, b := lift(x), lift(y)
+		if maxDist < 0 {
+			if _, ok := s.DistanceWithin(a, b, maxDist); ok {
+				t.Fatalf("negative bound %d accepted", maxDist)
+			}
+			return
+		}
+		checkWithin(t, &s, a, b, Distance(a, b), maxDist)
+	})
 }

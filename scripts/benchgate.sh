@@ -31,6 +31,9 @@ run_benches() {
     export GOFLAGS="${GOFLAGS:--trimpath}"
     go test -run=NONE -count="$COUNT" -bench='^BenchmarkScan$' -benchtime=300x ./internal/sigmatch/
     go test -run=NONE -count="$COUNT" -bench='^BenchmarkCluster1000$' -benchtime=50x ./internal/dbscan/
+    # The clustering kernel on the shape that dominates a cold compile:
+    # junk-inserted near-duplicates that end within eps.
+    go test -run=NONE -count="$COUNT" -bench='^BenchmarkDistanceWithin$/^junk-within$' -benchtime=500x ./internal/textdist/
     go test -run=NONE -count="$COUNT" -bench='^BenchmarkFingerprint(Scratch)?$' -benchtime=300x ./internal/winnow/
     go test -run=NONE -count="$COUNT" -bench='^BenchmarkLexSymbols$' -benchtime=200x ./internal/jstoken/
     go test -run=NONE -count="$COUNT" -bench='^BenchmarkTokenize$' -benchtime=10x .
